@@ -20,10 +20,12 @@ type Line struct {
 	Core     int  // core that caused the insertion (for core-aware policies)
 }
 
-// InsertInfo describes the block being inserted, for policy decisions.
+// InsertInfo describes the block being inserted. Core and IsPrefetch feed
+// policy decisions; Dirty only initializes the line's dirty bit.
 type InsertInfo struct {
 	Core       int
 	IsPrefetch bool // block was fetched by a prefetch request
+	Dirty      bool // block arrives modified (a write-back from above)
 }
 
 // Policy decides victim selection and insertion/promotion ordering for one
@@ -102,24 +104,45 @@ func (c *Cache) SetOf(l mem.LineAddr) int { return int(uint64(l) & c.setMask) }
 
 func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.ways+way] }
 
+// way returns the way of set holding l, or -1.
+func (c *Cache) way(set int, l mem.LineAddr) int {
+	lines := c.lines[set*c.ways : (set+1)*c.ways]
+	for w := range lines {
+		if lines[w].Valid && lines[w].Addr == l {
+			return w
+		}
+	}
+	return -1
+}
+
+// Probe is Lookup without the miss count. On a hit it updates statistics
+// and replacement state exactly as Lookup does and returns the line; on a
+// miss it returns nil and leaves Misses untouched, for a caller that counts
+// the miss only once it commits to serving it.
+func (c *Cache) Probe(l mem.LineAddr) *Line {
+	set := c.SetOf(l)
+	w := c.way(set, l)
+	if w < 0 {
+		return nil
+	}
+	ln := c.line(set, w)
+	c.Hits++
+	if ln.Prefetch {
+		c.PrefHits++
+	}
+	c.policy.OnHit(set, w)
+	return ln
+}
+
 // Lookup probes the cache. On a hit it applies the policy's hit update and
 // returns a pointer to the line metadata; on a miss it returns nil. The
 // returned pointer is only valid until the next Insert on the same set.
 func (c *Cache) Lookup(l mem.LineAddr) *Line {
-	set := c.SetOf(l)
-	for w := 0; w < c.ways; w++ {
-		ln := c.line(set, w)
-		if ln.Valid && ln.Addr == l {
-			c.Hits++
-			if ln.Prefetch {
-				c.PrefHits++
-			}
-			c.policy.OnHit(set, w)
-			return ln
-		}
+	ln := c.Probe(l)
+	if ln == nil {
+		c.Misses++
 	}
-	c.Misses++
-	return nil
+	return ln
 }
 
 // Peek probes the cache without updating hit/miss statistics or replacement
@@ -127,11 +150,8 @@ func (c *Cache) Lookup(l mem.LineAddr) *Line {
 // (paper section 5.4) and by tests.
 func (c *Cache) Peek(l mem.LineAddr) *Line {
 	set := c.SetOf(l)
-	for w := 0; w < c.ways; w++ {
-		ln := c.line(set, w)
-		if ln.Valid && ln.Addr == l {
-			return ln
-		}
+	if w := c.way(set, l); w >= 0 {
+		return c.line(set, w)
 	}
 	return nil
 }
@@ -162,6 +182,7 @@ func (c *Cache) Insert(l mem.LineAddr, info InsertInfo) (evicted Line) {
 	*c.line(set, way) = Line{
 		Addr:     l,
 		Valid:    true,
+		Dirty:    info.Dirty,
 		Prefetch: info.IsPrefetch,
 		Core:     info.Core,
 	}
@@ -171,16 +192,13 @@ func (c *Cache) Insert(l mem.LineAddr, info InsertInfo) (evicted Line) {
 
 // Invalidate removes line l if present and returns its prior metadata.
 func (c *Cache) Invalidate(l mem.LineAddr) (old Line, ok bool) {
-	set := c.SetOf(l)
-	for w := 0; w < c.ways; w++ {
-		ln := c.line(set, w)
-		if ln.Valid && ln.Addr == l {
-			old = *ln
-			ln.Valid = false
-			return old, true
-		}
+	ln := c.Peek(l)
+	if ln == nil {
+		return Line{}, false
 	}
-	return Line{}, false
+	old = *ln
+	ln.Valid = false
+	return old, true
 }
 
 // Reset clears all lines and statistics (policy state is left as-is; use a

@@ -194,6 +194,11 @@ func (s *Simulation) Checkpoint() ([]byte, error) {
 		}
 	}
 
+	return encodeSnapshot(snap)
+}
+
+// encodeSnapshot writes the container around the gob payload.
+func encodeSnapshot(snap snapshot) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString(snapshotMagic)
 	if err := binary.Write(&buf, binary.BigEndian, uint32(SnapshotVersion)); err != nil {

@@ -10,6 +10,7 @@ import (
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	"bopsim/internal/trace"
+	"bopsim/internal/uncore"
 )
 
 // warmed returns small options with a warmup region.
@@ -280,24 +281,32 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 	}
 }
 
-// FuzzRestore feeds arbitrary bytes to Restore: corrupted, truncated or
-// version-skewed snapshots must return an error — never panic, and never
-// hand back a simulation built from partial state.
-func FuzzRestore(f *testing.F) {
+// smallSnapshot returns short-run options and the checkpoint taken at their
+// warmup barrier.
+func smallSnapshot(tb testing.TB) (engine.Options, []byte) {
+	tb.Helper()
 	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 2_000
 	o.Warmup = 2_000
 	s, err := engine.New(o)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.RunWarmup(context.Background()); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	snap, err := s.Checkpoint()
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
+	return o, snap
+}
+
+// FuzzRestore feeds arbitrary bytes to Restore: corrupted, truncated or
+// version-skewed snapshots must return an error — never panic, and never
+// hand back a simulation built from partial state.
+func FuzzRestore(f *testing.F) {
+	o, snap := smallSnapshot(f)
 	f.Add(snap)
 	f.Add([]byte{})
 	f.Add([]byte(snapshotMagicForFuzz))
@@ -306,6 +315,9 @@ func FuzzRestore(f *testing.F) {
 	skew := append([]byte(nil), snap...)
 	skew[8]++
 	f.Add(skew)
+	for _, c := range corruptTLBSnapshots(f, snap) {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := engine.Restore(data, o)
 		if err != nil && restored != nil {
@@ -323,3 +335,71 @@ func FuzzRestore(f *testing.F) {
 }
 
 const snapshotMagicForFuzz = "BOCKPT01"
+
+type tlbSnapshotCase struct {
+	name    string
+	data    []byte
+	wantErr bool
+}
+
+// corruptTLBSnapshots re-encodes snap with edited core-0 TLB state: a
+// duplicate VPN, a level holding more entries than it has, a stamp ahead of
+// its level's clock, and tied stamps. Each decodes cleanly, so only the TLB
+// restore can tell them apart. Tied stamps never come out of a run but are
+// well defined (the lowest slot is evicted first), so that one restores.
+func corruptTLBSnapshots(tb testing.TB, snap []byte) []tlbSnapshotCase {
+	tb.Helper()
+	var cases []tlbSnapshotCase
+	add := func(name string, wantErr bool, edit func(*uncore.State)) {
+		data, err := engine.EditSnapshotUncore(snap, func(st *uncore.State) {
+			if len(st.TLBs) == 0 || len(st.TLBs[0].DTLB1.VPNs) < 2 || len(st.TLBs[0].TLB2.VPNs) < 2 {
+				tb.Fatal("warmup left fewer than two translations in a TLB level")
+			}
+			edit(st)
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cases = append(cases, tlbSnapshotCase{name, data, wantErr})
+	}
+	add("duplicate VPN", true, func(st *uncore.State) {
+		l := &st.TLBs[0].TLB2
+		l.VPNs[1] = l.VPNs[0]
+	})
+	add("more entries than the level holds", true, func(st *uncore.State) {
+		l := &st.TLBs[0].DTLB1
+		for v := uint64(1 << 40); len(l.VPNs) <= 64; v++ {
+			l.VPNs = append(l.VPNs, v)
+			l.Stamps = append(l.Stamps, 0)
+		}
+	})
+	add("stamp ahead of clock", true, func(st *uncore.State) {
+		l := &st.TLBs[0].TLB2
+		l.Stamps[0] = l.Clock + 1
+	})
+	add("tied stamps", false, func(st *uncore.State) {
+		l := &st.TLBs[0].DTLB1
+		l.Stamps[1] = l.Stamps[0]
+	})
+	return cases
+}
+
+// TestRestoreCorruptTLBState checks the verdict on each corrupt-TLB
+// snapshot: an error and no simulation for the impossible states, a
+// runnable simulation for tied stamps.
+func TestRestoreCorruptTLBState(t *testing.T) {
+	o, snap := smallSnapshot(t)
+	for _, c := range corruptTLBSnapshots(t, snap) {
+		restored, err := engine.Restore(c.data, o)
+		switch {
+		case c.wantErr && (err == nil || restored != nil):
+			t.Errorf("%s: Restore = (%v, %v), want an error and no simulation", c.name, restored != nil, err)
+		case !c.wantErr && err != nil:
+			t.Errorf("%s: Restore failed: %v", c.name, err)
+		case !c.wantErr:
+			if _, err := restored.Run(context.Background()); err != nil {
+				t.Errorf("%s: restored simulation failed: %v", c.name, err)
+			}
+		}
+	}
+}

@@ -55,33 +55,34 @@ func TestTLBStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTLBRestoreRejectsBadState checks malformed level states are refused.
+// TestTLBRestoreRejectsBadState checks malformed level states are refused
+// and leave the hierarchy exactly as it was. Each bad level is paired with
+// a valid one, so restoring level by level would leave it half-replaced.
 func TestTLBRestoreRejectsBadState(t *testing.T) {
-	h := New(mem.Page4K)
-	st := h.SaveState()
-
-	oversized := st
-	oversized.DTLB1.VPNs = make([]uint64, 100)
-	oversized.DTLB1.Stamps = make([]uint64, 100)
-	for i := range oversized.DTLB1.VPNs {
-		oversized.DTLB1.VPNs[i] = uint64(i)
+	h := NewWithSizes(mem.Page4K, 4, 8)
+	for i := 0; i < 20; i++ {
+		h.Access(mem.Addr(i) << 12)
 	}
-	if err := New(mem.Page4K).RestoreState(oversized); err == nil {
-		t.Error("restore with more entries than the level holds succeeded")
+	before := h.SaveState()
+	good := LevelState{VPNs: []uint64{1, 2}, Stamps: []uint64{1, 2}, Clock: 2}
+	oversized := LevelState{VPNs: make([]uint64, 9), Stamps: make([]uint64, 9)}
+	for i := range oversized.VPNs {
+		oversized.VPNs[i] = uint64(i)
 	}
-
-	ragged := st
-	ragged.TLB2.VPNs = []uint64{1, 2}
-	ragged.TLB2.Stamps = []uint64{1}
-	if err := New(mem.Page4K).RestoreState(ragged); err == nil {
-		t.Error("restore with mismatched VPN/stamp lengths succeeded")
-	}
-
-	dup := st
-	dup.TLB2.VPNs = []uint64{5, 5}
-	dup.TLB2.Stamps = []uint64{1, 2}
-	if err := New(mem.Page4K).RestoreState(dup); err == nil {
-		t.Error("restore with duplicate VPNs succeeded")
+	for name, bad := range map[string]State{
+		"oversized DTLB1":      {DTLB1: oversized, TLB2: good},
+		"oversized TLB2":       {DTLB1: good, TLB2: oversized},
+		"ragged":               {DTLB1: good, TLB2: LevelState{VPNs: []uint64{1, 2}, Stamps: []uint64{1}}},
+		"duplicate VPN":        {DTLB1: good, TLB2: LevelState{VPNs: []uint64{5, 5}, Stamps: []uint64{1, 2}, Clock: 2}},
+		"stamp ahead of clock": {DTLB1: good, TLB2: LevelState{VPNs: []uint64{1, 2}, Stamps: []uint64{1, 9}, Clock: 2}},
+	} {
+		bad.Walks = 99
+		if err := h.RestoreState(bad); err == nil {
+			t.Errorf("%s: restore succeeded", name)
+		}
+		if !reflect.DeepEqual(h.SaveState(), before) {
+			t.Fatalf("%s: failed restore changed the hierarchy", name)
+		}
 	}
 }
 

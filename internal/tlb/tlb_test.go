@@ -94,3 +94,47 @@ func TestMissCountersAdvance(t *testing.T) {
 		t.Errorf("TLB2Misses = %d, want 2", h.TLB2Misses())
 	}
 }
+
+// tlb2MissStream returns a generator of page addresses cycling through
+// 4096 pages, eight times the TLB2: under LRU every access misses both
+// levels and walks, so the eviction path is the one exercised.
+func tlb2MissStream() func() mem.Addr {
+	page := 0
+	return func() mem.Addr {
+		page = (page + 1) % 4096
+		return mem.Addr(page) << 12
+	}
+}
+
+func TestAccessTLB2MissZeroAlloc(t *testing.T) {
+	h := New(mem.Page4K)
+	next := tlb2MissStream()
+	for i := 0; i < 10_000; i++ {
+		h.Access(next())
+	}
+	walks := h.Walks
+	if avg := testing.AllocsPerRun(2000, func() { h.Access(next()) }); avg != 0 {
+		t.Errorf("steady-state TLB2-missing Access allocates %.3f objects/access, want 0", avg)
+	}
+	if h.Walks-walks != 2001 {
+		t.Errorf("stream walked %d times in 2001 accesses, want every access to miss the TLB2", h.Walks-walks)
+	}
+}
+
+var sinkLatency uint64
+
+// BenchmarkTLBAccess times Hierarchy.Access on a stream whose working set
+// exceeds the TLB2, so each access pays a DTLB1 and a TLB2 miss, an
+// eviction at both levels and a walk.
+func BenchmarkTLBAccess(b *testing.B) {
+	h := New(mem.Page4K)
+	next := tlb2MissStream()
+	for i := 0; i < 10_000; i++ {
+		h.Access(next())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkLatency += h.Access(next())
+	}
+}

@@ -41,10 +41,46 @@ func (q *reqQueue) pop() {
 	}
 }
 
-// outstandingInfo tracks one in-flight DL1 miss for MSHR-style merging.
-type outstandingInfo struct {
+// mshr tracks one in-flight DL1 miss for MSHR-style merging.
+type mshr struct {
+	line      mem.LineAddr
 	fut       *dram.Future
 	markWrite bool
+}
+
+// mshrTable holds one core's in-flight DL1 misses in a fixed array of
+// cfg.MSHRs slots. Lookups scan the few live entries; nothing iterates the
+// table in order, so swap-remove keeps runs deterministic.
+type mshrTable struct {
+	live []mshr
+}
+
+func (m *mshrTable) len() int { return len(m.live) }
+
+// find returns the entry for line, or nil.
+func (m *mshrTable) find(line mem.LineAddr) *mshr {
+	for i := range m.live {
+		if m.live[i].line == line {
+			return &m.live[i]
+		}
+	}
+	return nil
+}
+
+// add records a new in-flight miss; the caller has checked for space.
+func (m *mshrTable) add(e mshr) { m.live = append(m.live, e) }
+
+// remove drops line's entry, if any.
+func (m *mshrTable) remove(line mem.LineAddr) {
+	for i := range m.live {
+		if m.live[i].line == line {
+			last := len(m.live) - 1
+			m.live[i] = m.live[last]
+			m.live[last] = mshr{} // drop the future reference
+			m.live = m.live[:last]
+			return
+		}
+	}
 }
 
 // dl1Fill is a block scheduled for insertion into a DL1.
@@ -107,7 +143,7 @@ type Hierarchy struct {
 	l2fq        []*fillQueue
 	l3fq        *fillQueue
 	pq          []*prefetchQueue
-	outstanding []map[mem.LineAddr]outstandingInfo
+	outstanding []mshrTable
 	dl1Fills    [][]dl1Fill
 	pendingWB   []wbReq
 	pool        entryPool
@@ -174,7 +210,7 @@ func New(cfg Config, newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(
 		h.demandQ = append(h.demandQ, reqQueue{})
 		h.l2fq = append(h.l2fq, newFillQueue(cfg.L2FillQueueLen))
 		h.pq = append(h.pq, newPrefetchQueue(cfg.PrefetchQueueLen))
-		h.outstanding = append(h.outstanding, make(map[mem.LineAddr]outstandingInfo))
+		h.outstanding = append(h.outstanding, mshrTable{live: make([]mshr, 0, cfg.MSHRs)})
 		h.dl1Fills = append(h.dl1Fills, nil)
 		h.translators = append(h.translators, mem.NewTranslator(cfg.Page, cfg.Seed+uint64(c)*0x1234567))
 	}
@@ -205,7 +241,7 @@ func (h *Hierarchy) L1Prefetcher(core int) prefetch.L1Prefetcher { return h.l1pf
 
 // CanAccept reports whether core can start a new DL1 miss (MSHR space).
 func (h *Hierarchy) CanAccept(core int) bool {
-	return len(h.outstanding[core]) < h.cfg.MSHRs
+	return h.outstanding[core].len() < h.cfg.MSHRs
 }
 
 // Access performs a demand load or store for core at cycle now. It returns
@@ -251,19 +287,16 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 	h.stats.DL1Misses++
 	h.strideQuery(core, pc, va, t0)
 
-	if info, found := h.outstanding[core][line]; found {
+	if m := h.outstanding[core].find(line); m != nil {
 		// MSHR merge: a request for this line is already in flight.
-		if isWrite && !info.markWrite {
-			info.markWrite = true
-			h.outstanding[core][line] = info
-		}
-		return 0, info.fut, true
+		m.markWrite = m.markWrite || isWrite
+		return 0, m.fut, true
 	}
 	if !h.CanAccept(core) {
 		return 0, nil, false
 	}
 	fut = h.futs.Pending()
-	h.outstanding[core][line] = outstandingInfo{fut: fut, markWrite: isWrite}
+	h.outstanding[core].add(mshr{line: line, fut: fut, markWrite: isWrite})
 	h.demandQ[core].push(coreReq{
 		line: line, readyAt: t0 + h.cfg.DL1Latency, fut: fut, isWrite: isWrite, pc: pc,
 	})
@@ -297,14 +330,14 @@ func (h *Hierarchy) strideQuery(core int, pc uint64, va mem.Addr, t0 uint64) {
 	if h.dl1[core].Peek(line) != nil {
 		return
 	}
-	if _, inFlight := h.outstanding[core][line]; inFlight {
+	if h.outstanding[core].find(line) != nil {
 		return
 	}
 	if !h.CanAccept(core) {
 		return
 	}
 	fut := h.futs.Pending()
-	h.outstanding[core][line] = outstandingInfo{fut: fut}
+	h.outstanding[core].add(mshr{line: line, fut: fut})
 	h.demandQ[core].push(coreReq{
 		line: line, readyAt: t0 + h.cfg.DL1Latency, fut: fut, l1pf: true, pc: pc,
 	})
@@ -320,7 +353,7 @@ func (h *Hierarchy) Tick(now uint64) {
 	h.stats.TickSamples++
 	h.stats.L2FQOccupancySum += uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += uint64(h.l3fq.len())
-	h.stats.MSHROccupancySum += uint64(len(h.outstanding[0]))
+	h.stats.MSHROccupancySum += uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += uint64(h.pq[0].n)
 	h.drainL3Fills(now)
 	for c := range h.l2fq {
@@ -350,7 +383,7 @@ func (h *Hierarchy) AccountIdle(span uint64) {
 	h.stats.TickSamples += span
 	h.stats.L2FQOccupancySum += span * uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += span * uint64(h.l3fq.len())
-	h.stats.MSHROccupancySum += span * uint64(len(h.outstanding[0]))
+	h.stats.MSHROccupancySum += span * uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += span * uint64(h.pq[0].n)
 }
 
@@ -443,15 +476,15 @@ func (h *Hierarchy) drainL2Fills(core int, now uint64) {
 		}
 		if e.fillL1 {
 			dirty := e.isWrite
-			if info, found := h.outstanding[core][e.line]; found {
-				dirty = dirty || info.markWrite
+			if m := h.outstanding[core].find(e.line); m != nil {
+				dirty = dirty || m.markWrite
 			}
 			h.insertDL1(core, e.line, dirty, e.l1pf)
 		}
 		for _, w := range e.waiters {
 			w.Resolve(now)
 		}
-		delete(h.outstanding[core], e.line)
+		h.outstanding[core].remove(e.line)
 		h.pool.put(e)
 	}
 }
@@ -476,23 +509,17 @@ func (h *Hierarchy) drainDL1Fills(core int, now uint64) {
 // insertDL1 places line into core's DL1, handling dirty writeback of the
 // victim into the L2 (write-back hierarchy).
 func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
-	delete(h.outstanding[core], line)
+	h.outstanding[core].remove(line)
 	if ln := h.dl1[core].Peek(line); ln != nil {
 		ln.Dirty = ln.Dirty || dirty
 		return
 	}
-	ev := h.dl1[core].Insert(line, cache.InsertInfo{Core: core, IsPrefetch: pfBit})
-	if ln := h.dl1[core].Peek(line); ln != nil && dirty {
-		ln.Dirty = true
-	}
+	ev := h.dl1[core].Insert(line, cache.InsertInfo{Core: core, IsPrefetch: pfBit, Dirty: dirty})
 	if ev.Valid && ev.Dirty {
 		if l2ln := h.l2[core].Peek(ev.Addr); l2ln != nil {
 			l2ln.Dirty = true
 		} else {
-			l2ev := h.l2[core].Insert(ev.Addr, cache.InsertInfo{Core: core})
-			if l2ln := h.l2[core].Peek(ev.Addr); l2ln != nil {
-				l2ln.Dirty = true
-			}
+			l2ev := h.l2[core].Insert(ev.Addr, cache.InsertInfo{Core: core, Dirty: true})
 			if l2ev.Valid && l2ev.Dirty {
 				h.writebackToL3(l2ev.Addr, core)
 			}
@@ -507,10 +534,7 @@ func (h *Hierarchy) writebackToL3(line mem.LineAddr, core int) {
 		ln.Dirty = true
 		return
 	}
-	ev := h.l3.Insert(line, cache.InsertInfo{Core: core})
-	if ln := h.l3.Peek(line); ln != nil {
-		ln.Dirty = true
-	}
+	ev := h.l3.Insert(line, cache.InsertInfo{Core: core, Dirty: true})
 	if h.fivep != nil {
 		h.fivep.NoteFill(core)
 	}
@@ -618,8 +642,7 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 // L3 fill, or a new DRAM read. It returns false if a required queue is full
 // (nothing is modified in that case).
 func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) bool {
-	if h.l3.Peek(e.line) != nil {
-		h.l3.Lookup(e.line) // real access: stats + replacement update
+	if h.l3.Probe(e.line) != nil {
 		h.stats.L3Hits++
 		e.fut, e.readyAt = nil, now+h.cfg.L3Latency
 		return true
@@ -638,7 +661,7 @@ func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) bool {
 	if fut == nil {
 		return false
 	}
-	h.l3.Lookup(e.line) // counts the miss
+	h.l3.Misses++ // counted only now that the miss is committed
 	h.stats.L3Misses++
 	l3e := h.pool.get()
 	l3e.line, l3e.core, l3e.isPrefetch, l3e.fut = e.line, e.core, isPrefetch, fut
@@ -693,7 +716,7 @@ func (h *Hierarchy) Drained() bool {
 		if h.l2fq[c].len() > 0 || h.demandQ[c].len() > 0 || !h.pq[c].empty() || len(h.dl1Fills[c]) > 0 {
 			return false
 		}
-		if len(h.outstanding[c]) > 0 {
+		if h.outstanding[c].len() > 0 {
 			return false
 		}
 	}

@@ -62,6 +62,54 @@ func TestMSHRMerging(t *testing.T) {
 	if f1 != f2 {
 		t.Error("two misses to one line did not merge onto one future")
 	}
+	// A store merging onto the in-flight load must leave the filled DL1
+	// line dirty, and the fill must free the MSHR.
+	if f3 := h.Access(0, 0x408, 0x10010, true, 1); f3 != f1 {
+		t.Fatal("store to the in-flight line did not merge")
+	}
+	now := runUntil(t, h, f1, 1, 100000)
+	for ; !h.Drained(); now++ {
+		h.Tick(now)
+	}
+	line := h.translators[0].TranslateLine(mem.LineOf(0x10000))
+	if ln := h.dl1[0].Peek(line); ln == nil || !ln.Dirty {
+		t.Error("merged store did not mark the filled DL1 line dirty")
+	}
+	if h.outstanding[0].len() != 0 {
+		t.Errorf("%d MSHRs still held after the fill", h.outstanding[0].len())
+	}
+}
+
+// TestL3CountersMatchHierarchyStats checks the L3 cache's own counters,
+// which checkpoints carry, against the hierarchy's: a hit counts once, a
+// miss counts once when it goes to DRAM, and a request merging onto an
+// in-flight L3 fill counts neither.
+func TestL3CountersMatchHierarchyStats(t *testing.T) {
+	h := testHier(prefetch.NewNextLine(mem.Page4K))
+	var now uint64
+	const lines = 16384 // 1 MB: twice the L2, an eighth of the L3
+	for i := 0; i < 2*lines; i++ {
+		// The second pass hits the L3, and next-line prefetches race the
+		// demands of both passes to the same lines.
+		va := mem.Addr(0x200000 + (i%lines)*mem.LineSize)
+		for h.Access(0, 0x400, va, i%7 == 0, now) == nil {
+			h.Tick(now)
+			now++
+		}
+		h.Tick(now)
+		now++
+	}
+	for ; !h.Drained(); now++ {
+		h.Tick(now)
+	}
+	st := h.Stats()
+	if st.L3Hits == 0 || st.L3Misses == 0 {
+		t.Fatalf("stream produced %d L3 hits and %d misses; want both", st.L3Hits, st.L3Misses)
+	}
+	if h.l3.Hits != st.L3Hits || h.l3.Misses != st.L3Misses {
+		t.Errorf("L3 cache counted %d hits, %d misses; hierarchy counted %d, %d",
+			h.l3.Hits, h.l3.Misses, st.L3Hits, st.L3Misses)
+	}
 }
 
 func TestMSHRCapacity(t *testing.T) {
