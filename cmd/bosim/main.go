@@ -42,7 +42,6 @@ import (
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	"bopsim/internal/profiling"
-	"bopsim/internal/sim"
 	"bopsim/internal/trace"
 )
 
@@ -50,19 +49,15 @@ func main() {
 	var (
 		workload  = flag.String("workload", "462.libquantum", "core-0 workload spec: any registered generator, e.g. 429.mcf, gups:footprint=64mb (see -list-workloads)")
 		workloads = flag.String("workloads", "", "per-core workload specs, ';'-separated (\"gups:footprint=64mb;stream:stride=128\"); -cores defaults to the list length")
-		tracePath = flag.String("trace", "", "replay a recorded trace file instead of a synthetic workload (shorthand for -workload file:path=FILE)")
 		cores     = flag.Int("cores", 1, "active cores (1..4; the paper's baselines use 1, 2 and 4)")
 		pageStr   = flag.String("page", "4KB", "page size: 4KB or 4MB")
 		l2pf      = flag.String("l2pf", "nextline", "L2 prefetcher spec, e.g. bo, offset:d=4, bo:badscore=5 (see -list-pf)")
 		l1pf      = flag.String("l1pf", "stride", "DL1 prefetcher spec: stride, stride:dist=8, none")
-		pf        = flag.String("pf", "", "deprecated: historical enum spelling of -l2pf (none|nextline|offset|bo|sbp)")
-		offset    = flag.Int("offset", 1, "deprecated: offset for -pf offset (use -l2pf offset:d=N)")
 		n         = flag.Uint64("n", 500_000, "instructions to retire on core 0")
 		warmup    = flag.Uint64("warmup", 0, "warmup instructions before the measured region (stats reset at the barrier)")
 		warmupPF  = flag.Bool("warmup-pf", false, "keep the configured prefetchers active through the warmup (their state crosses the barrier)")
 		ckptFile  = flag.String("checkpoint", "", "warmup snapshot file: restore from it when present, else run the warmup once and save it there")
 		l3        = flag.String("l3", "5P", "L3 replacement policy: 5P|LRU|DRRIP")
-		noStride  = flag.Bool("nostride", false, "deprecated: disable the DL1 stride prefetcher (use -l1pf none)")
 		seed      = flag.Uint64("seed", 1, "simulation seed (also seeds -verify sampling)")
 		list      = flag.Bool("list", false, "list the benchmark stand-in names and exit")
 		listWL    = flag.Bool("list-workloads", false, "list every registered workload generator with its parameter schema, then exit")
@@ -79,7 +74,6 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
-	flag.StringVar(workload, "wl", "462.libquantum", "alias of -workload")
 	flag.Parse()
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
@@ -125,14 +119,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	o := sim.DefaultOptions("")
-	o.Workloads, o.Cores = resolveWorkloads(*workload, *workloads, *tracePath, *cores)
+	o := engine.DefaultOptions("")
+	o.Workloads, o.Cores = resolveWorkloads(*workload, *workloads, *cores)
 	o.Page = page
-	o.L2PF = l2Spec(*l2pf, *pf, *offset)
+	o.L2PF = parseSpec(*l2pf)
 	o.L1PF = parseSpec(*l1pf)
-	if *noStride {
-		o.L1PF = prefetch.Spec{Name: "none"}
-	}
 	o.L3Policy = *l3
 	o.Instructions = *n
 	o.Seed = *seed
@@ -151,7 +142,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bosim: %v\n", err)
 			os.Exit(1)
 		}
-		var r sim.Result
+		var r engine.Result
 		if sha := trace.ContentSHA(*ckptFile); *ckptFile != "" && sha != "" {
 			// Ship the snapshot's identity; a worker holding a copy forks
 			// from it, any other runs the warmup itself.
@@ -234,12 +225,12 @@ func buildSimulation(ctx context.Context, o engine.Options, ckptFile string) (*e
 }
 
 // output renders one finished (or interrupted) run, local or remote.
-func output(o engine.Options, r sim.Result, interrupted, jsonOut bool) {
+func output(o engine.Options, r engine.Result, interrupted, jsonOut bool) {
 	if jsonOut {
 		b, err := json.MarshalIndent(struct {
 			Options     engine.Options `json:"options"`
 			Interrupted bool           `json:"interrupted,omitempty"`
-			Result      sim.Result     `json:"result"`
+			Result      engine.Result  `json:"result"`
 		}{o, interrupted, r}, "", " ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bosim: %v\n", err)
@@ -249,7 +240,7 @@ func output(o engine.Options, r sim.Result, interrupted, jsonOut bool) {
 		return
 	}
 	fmt.Printf("workload        %s\n", r.Workload)
-	fmt.Printf("config          %s, L2 prefetcher %s, L3 %s\n", sim.ConfigLabel(o.Cores, o.Page), o.L2PF, o.L3Policy)
+	fmt.Printf("config          %s, L2 prefetcher %s, L3 %s\n", experiments.CoreConfig{Cores: o.Cores, Page: o.Page}.Label(), o.L2PF, o.L3Policy)
 	fmt.Printf("instructions    %d\n", r.Instructions)
 	fmt.Printf("cycles          %d\n", r.Cycles)
 	fmt.Printf("IPC             %.4f\n", r.IPC)
@@ -297,53 +288,21 @@ func exitInterrupted(interrupted bool) {
 }
 
 // resolveWorkloads turns the workload flags into the per-core spec list:
-// -workloads (';'-separated, one spec per core) wins, then -trace (the
-// "file" generator), then -workload/-wl (core 0 only; satellite cores get
-// the registry's microthrash default). With -workloads and no explicit
-// -cores, the core count follows the list length.
-func resolveWorkloads(workload, workloads, tracePath string, coresFlag int) ([]trace.Spec, int) {
+// -workloads (';'-separated, one spec per core) wins over -workload (core 0
+// only; satellite cores get the registry's microthrash default). With
+// -workloads and no explicit -cores, the core count follows the list
+// length.
+func resolveWorkloads(workload, workloads string, coresFlag int) ([]trace.Spec, int) {
 	coresSet, workloadSet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "cores":
 			coresSet = true
-		case "workload", "wl":
+		case "workload":
 			workloadSet = true
 		}
 	})
-	switch {
-	case workloads != "":
-		if tracePath != "" {
-			fmt.Fprintln(os.Stderr, "bosim: -workloads and -trace are mutually exclusive (use a file: spec in the list)")
-			os.Exit(2)
-		}
-		if workloadSet {
-			// Same rule as -trace: silently dropping an explicit -workload
-			// would measure the wrong run without a diagnostic.
-			fmt.Fprintln(os.Stderr, "bosim: -workloads and -workload/-wl are mutually exclusive (put the core-0 spec first in -workloads)")
-			os.Exit(2)
-		}
-		specs, err := trace.ParseSpecList(workloads)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bosim: %v\n", err)
-			os.Exit(2)
-		}
-		cores := coresFlag
-		if !coresSet && len(specs) > cores {
-			cores = len(specs)
-		}
-		if len(specs) > cores {
-			fmt.Fprintf(os.Stderr, "bosim: %d workload specs but -cores %d\n", len(specs), cores)
-			os.Exit(2)
-		}
-		return specs, cores
-	case tracePath != "":
-		if workloadSet {
-			fmt.Fprintln(os.Stderr, "bosim: -trace and -workload/-wl are mutually exclusive (a trace replay is the whole core-0 workload)")
-			os.Exit(2)
-		}
-		return []trace.Spec{trace.FileSpec(tracePath)}, coresFlag
-	default:
+	if workloads == "" {
 		sp, err := trace.ParseSpec(workload)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bosim: %v\n", err)
@@ -351,6 +310,26 @@ func resolveWorkloads(workload, workloads, tracePath string, coresFlag int) ([]t
 		}
 		return []trace.Spec{sp}, coresFlag
 	}
+	if workloadSet {
+		// Silently dropping an explicit -workload would measure the wrong
+		// run without a diagnostic.
+		fmt.Fprintln(os.Stderr, "bosim: -workloads and -workload are mutually exclusive (put the core-0 spec first in -workloads)")
+		os.Exit(2)
+	}
+	specs, err := trace.ParseSpecList(workloads)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bosim: %v\n", err)
+		os.Exit(2)
+	}
+	cores := coresFlag
+	if !coresSet && len(specs) > cores {
+		cores = len(specs)
+	}
+	if len(specs) > cores {
+		fmt.Fprintf(os.Stderr, "bosim: %d workload specs but -cores %d\n", len(specs), cores)
+		os.Exit(2)
+	}
+	return specs, cores
 }
 
 // listWorkloads renders every registered generator with its parameter
@@ -379,19 +358,6 @@ func listWorkloads() {
 	}
 }
 
-// l2Spec resolves the L2 prefetcher selection: the deprecated -pf/-offset
-// enum spelling wins when given (so historical invocations keep working),
-// otherwise -l2pf is parsed as a registry spec.
-func l2Spec(l2pf, legacy string, legacyOffset int) prefetch.Spec {
-	if legacy != "" {
-		if legacy == "offset" {
-			return sim.PFOffsetD(legacyOffset)
-		}
-		return parseSpec(legacy)
-	}
-	return parseSpec(l2pf)
-}
-
 // parseSpec parses a spec flag, exiting with a usage error on bad syntax
 // (unknown names and parameters are reported by engine.New, which can list
 // the registered alternatives).
@@ -407,7 +373,7 @@ func parseSpec(s string) prefetch.Spec {
 // run drives the simulation to completion. Without -progress it defers to
 // the engine's own loop; with it, it steps in visible chunks and rewrites a
 // status line between them.
-func run(ctx context.Context, s *engine.Simulation, progress bool) (sim.Result, error) {
+func run(ctx context.Context, s *engine.Simulation, progress bool) (engine.Result, error) {
 	if !progress {
 		return s.Run(ctx)
 	}
@@ -416,12 +382,12 @@ func run(ctx context.Context, s *engine.Simulation, progress bool) (sim.Result, 
 	for {
 		if err := ctx.Err(); err != nil {
 			fmt.Fprintln(os.Stderr)
-			return sim.Result{}, err
+			return engine.Result{}, err
 		}
 		done, err := s.Step(chunk)
 		if err != nil {
 			fmt.Fprintln(os.Stderr)
-			return sim.Result{}, err
+			return engine.Result{}, err
 		}
 		fmt.Fprintf(os.Stderr, "\rcycle %-12d retired %d/%d (IPC %.3f)",
 			s.Cycles(), s.Retired(), target, s.Snapshot().IPC)

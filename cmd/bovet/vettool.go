@@ -22,10 +22,10 @@ import (
 // PackageVetx — the fact files earlier invocations wrote for those
 // dependencies. The tool must write this package's facts to VetxOutput
 // (the file must exist even when empty, or the build system errors), and
-// exit status 2 means "diagnostics found". Facts ride the same gob
-// encoding as the standalone runner's cache, so cross-package taint works
-// identically under `go vet -vettool=` and `bovet ./...`; the go command's
-// own build cache takes the place of bovet's content-addressed fact cache.
+// exit status 2 means "diagnostics found". The standalone runner threads
+// the same facts in memory, so cross-package taint works identically under
+// `go vet -vettool=` and `bovet ./...`; the go command's build cache keeps
+// the fact files between vet runs.
 
 // vetConfig mirrors the subset of the config the go command writes that
 // bovet consumes.

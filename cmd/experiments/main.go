@@ -10,7 +10,7 @@
 //	experiments -all -quick                    # representative configs, fast
 //	experiments -all -j 8 -cache .simcache     # parallel + persistent cache
 //	experiments -fig6 -n 500000 -json out/     # full six configs for Figure 6
-//	experiments -fig8 -benchmarks 433.milc,470.lbm
+//	experiments -fig8 -workloads "433.milc;470.lbm"
 //	experiments -zoo -quick                    # every registered prefetcher
 //	experiments -all -cache .simcache -cache-max-mb 256
 //	experiments -all -workers 10.0.0.7:9123,10.0.0.8:9123 -cache .simcache
@@ -43,8 +43,7 @@ func main() {
 		all      = flag.Bool("all", false, "run every table and figure")
 		quick    = flag.Bool("quick", false, "use the representative config subset instead of all six")
 		n        = flag.Uint64("n", 300_000, "instructions per simulation (core 0)")
-		benchCS  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 29)")
-		wlCS     = flag.String("workloads", "", "';'-separated core-0 workload specs, one table ROW each (satellite cores run microthrash; overrides -benchmarks). Unlike bosim -workloads, entries here are rows, not cores — per-core heterogeneous runs are bosim's job")
+		wlCS     = flag.String("workloads", "", "';'-separated core-0 workload specs, one table ROW each (default: all 29 benchmarks; satellite cores run microthrash). Unlike bosim -workloads, entries here are rows, not cores — per-core heterogeneous runs are bosim's job")
 		verbose  = flag.Bool("v", false, "log every simulation run")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "simulations to run concurrently")
 		cacheDir = flag.String("cache", "", "persistent result-cache directory (empty: in-memory only)")
@@ -125,23 +124,14 @@ func main() {
 			Priority:     *priority,
 		}
 		if *wlCS != "" {
-			req.Workloads = splitList(*wlCS, ";")
-		} else if *benchCS != "" {
-			req.Workloads = splitList(*benchCS, ",")
+			req.Workloads = splitList(*wlCS)
 		}
 		os.Exit(submitAndTail(*submitURL, targets, req))
 	}
 
-	if *cacheDir != "" {
-		// Rewrite any enum-era (v1) entries to the spec-based schema before
-		// the Runner consults the cache, so a version bump costs a rekey,
-		// not a re-simulation.
-		if migrated, dropped, err := experiments.MigrateCache(*cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: cache migration: %v\n", err)
-			os.Exit(1)
-		} else if migrated > 0 || dropped > 0 {
-			fmt.Fprintf(os.Stderr, "cache: migrated %d entries to schema v%d (%d dropped)\n", migrated, experiments.SchemaVersion(), dropped)
-		}
+	if err := refuseStaleCache(*cacheDir); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
 
 	configs := experiments.AllConfigs()
@@ -184,17 +174,6 @@ func main() {
 			os.Exit(2)
 		}
 		r.Benchmarks = specs
-	} else if *benchCS != "" {
-		// Legacy spelling: comma-separated bare benchmark names.
-		r.Benchmarks = nil
-		for _, b := range strings.Split(*benchCS, ",") {
-			sp, err := trace.ParseSpec(b)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(2)
-			}
-			r.Benchmarks = append(r.Benchmarks, sp)
-		}
 	} else if *quick {
 		// Quick mode also trims the workload list to the memory-active
 		// benchmarks plus a few compute-bound representatives.
@@ -329,6 +308,35 @@ func fatalf(format string, args ...any) {
 	}
 	fmt.Fprintf(os.Stderr, format, args...)
 	os.Exit(1)
+}
+
+// refuseStaleCache fails when the result-cache directory holds an entry
+// written under an older schema. Such an entry is never read (its key
+// cannot match a current run), so a directory holding one is a cache the
+// user believes is warm but is not; results are regenerable, so the remedy
+// is to delete it and rerun. A missing or empty directory passes.
+func refuseStaleCache(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			return err
+		}
+		var e struct {
+			Version int `json:"version"`
+		}
+		if json.Unmarshal(b, &e) == nil && e.Version != experiments.SchemaVersion() {
+			return fmt.Errorf("result cache %s holds schema v%d entry %s (current schema v%d): delete %s and rerun",
+				dir, e.Version, f, experiments.SchemaVersion(), dir)
+		}
+	}
+	return nil
 }
 
 // writeJSON stores one figure's tables (most figures have one; Figure 3 has

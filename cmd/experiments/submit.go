@@ -29,10 +29,10 @@ func submitter(as string) string {
 	return os.Getenv("USER")
 }
 
-// splitList splits a flag value on sep, trimming blanks.
-func splitList(csv, sep string) []string {
+// splitList splits a ';'-separated flag value, trimming blanks.
+func splitList(list string) []string {
 	var out []string
-	for _, s := range strings.Split(csv, sep) {
+	for _, s := range strings.Split(list, ";") {
 		if s = strings.TrimSpace(s); s != "" {
 			out = append(out, s)
 		}

@@ -1,11 +1,11 @@
 // Command tracegen records a synthetic workload's instruction stream into a
-// trace file that bosim can replay (-trace), decoupling trace generation
-// from simulation exactly like the paper's Pin-based flow.
+// trace file that bosim can replay (-workload file:path=FILE), decoupling
+// trace generation from simulation exactly like the paper's Pin-based flow.
 //
 // Usage:
 //
 //	tracegen -workload 433.milc -n 1000000 -o milc.trace
-//	bosim -trace milc.trace -pf bo
+//	bosim -workload file:path=milc.trace -l2pf bo
 package main
 
 import (

@@ -8,29 +8,33 @@ import (
 	"fmt"
 	"strings"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/sim"
 )
 
-func run(pf prefetch.Spec) sim.Result {
-	o := sim.DefaultOptions("433.milc")
+func run(pf prefetch.Spec) engine.Result {
+	o := engine.DefaultOptions("433.milc")
 	o.Page = mem.Page4M
 	o.Instructions = 250_000
 	o.L2PF = pf
-	return sim.MustRun(o)
+	r, err := engine.Run(o)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 func main() {
-	baseline := run(sim.PFNextLine)
-	bo := run(sim.PFBO)
+	baseline := run(prefetch.Spec{Name: "nextline"})
+	bo := run(prefetch.Spec{Name: "bo"})
 	boSpeedup := bo.IPC / baseline.IPC
 
 	fmt.Printf("433.milc stand-in, 4MB pages, 1 core (speedup vs next-line)\n")
 	fmt.Printf("BO prefetcher: %.3f (learned offset %d)\n\n", boSpeedup, bo.FinalBOOffset)
 
 	for d := 2; d <= 128; d += 2 {
-		r := run(sim.PFOffsetD(d))
+		r := run(prefetch.Spec{Name: "offset"}.With("d", fmt.Sprint(d)))
 		speedup := r.IPC / baseline.IPC
 		bar := int((speedup - 0.90) * 100)
 		if bar < 0 {

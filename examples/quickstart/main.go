@@ -7,22 +7,31 @@ package main
 import (
 	"fmt"
 
+	"bopsim/internal/engine"
+	"bopsim/internal/experiments"
 	"bopsim/internal/mem"
-	"bopsim/internal/sim"
+	"bopsim/internal/prefetch"
 )
 
 func main() {
-	base := sim.DefaultOptions("462.libquantum")
+	base := engine.DefaultOptions("462.libquantum")
 	base.Page = mem.Page4M
 	base.Instructions = 400_000
 
-	nextLine := sim.MustRun(base)
+	nextLine, err := engine.Run(base)
+	if err != nil {
+		panic(err)
+	}
 
 	boOpts := base
-	boOpts.L2PF = sim.PFBO
-	bo := sim.MustRun(boOpts)
+	boOpts.L2PF = prefetch.Spec{Name: "bo"}
+	bo, err := engine.Run(boOpts)
+	if err != nil {
+		panic(err)
+	}
 
-	fmt.Printf("workload: %s (%s)\n", base.WorkloadLabel(), sim.ConfigLabel(base.Cores, base.Page))
+	config := experiments.CoreConfig{Cores: base.Cores, Page: base.Page}.Label()
+	fmt.Printf("workload: %s (%s)\n", base.WorkloadLabel(), config)
 	fmt.Printf("next-line prefetcher: IPC %.3f\n", nextLine.IPC)
 	fmt.Printf("Best-Offset:          IPC %.3f (learned offset %d)\n", bo.IPC, bo.FinalBOOffset)
 	fmt.Printf("speedup:              %.3f\n", bo.IPC/nextLine.IPC)

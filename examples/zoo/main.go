@@ -9,9 +9,10 @@ package main
 import (
 	"fmt"
 
+	"bopsim/internal/engine"
+	"bopsim/internal/experiments"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/sim"
 )
 
 func main() {
@@ -24,16 +25,23 @@ func main() {
 		fmt.Printf("  %-10s %s\n", name, prefetch.L1Help(name))
 	}
 
-	base := sim.DefaultOptions("462.libquantum")
+	base := engine.DefaultOptions("462.libquantum")
 	base.Page = mem.Page4M
 	base.Instructions = 250_000
-	baseline := sim.MustRun(base)
+	baseline, err := engine.Run(base)
+	if err != nil {
+		panic(err)
+	}
 
-	fmt.Printf("\n%s, %s, speedup vs next-line:\n", base.WorkloadLabel(), sim.ConfigLabel(base.Cores, base.Page))
+	config := experiments.CoreConfig{Cores: base.Cores, Page: base.Page}.Label()
+	fmt.Printf("\n%s, %s, speedup vs next-line:\n", base.WorkloadLabel(), config)
 	for _, name := range prefetch.L2Names() {
 		o := base
 		o.L2PF = prefetch.Spec{Name: name}
-		r := sim.MustRun(o)
+		r, err := engine.Run(o)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("  %-10s IPC %6.3f  speedup %5.3f\n", name, r.IPC, r.IPC/baseline.IPC)
 	}
 
@@ -41,7 +49,10 @@ func main() {
 	for _, spec := range []string{"offset:d=4", "bo:badscore=5", "multi:offsets=1+2+4+8"} {
 		o := base
 		o.L2PF = prefetch.MustSpec(spec)
-		r := sim.MustRun(o)
+		r, err := engine.Run(o)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("  %-22s IPC %6.3f  speedup %5.3f\n", spec, r.IPC, r.IPC/baseline.IPC)
 	}
 }

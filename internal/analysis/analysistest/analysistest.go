@@ -68,6 +68,13 @@ func RunSuite(t *testing.T, testdata string, suite, known []*analysis.Analyzer, 
 	if err != nil {
 		t.Fatalf("running suite: %v", err)
 	}
+	// The vet driver ships each package's facts to its importers' passes
+	// in encoded form, so every exported fact must encode.
+	for _, pkg := range pkgs {
+		if _, err := runner.ExportedFacts(pkg.PkgPath); err != nil {
+			t.Fatalf("exporting facts: %v", err)
+		}
+	}
 
 	wants := collectWants(t, fset, pkgs)
 	for _, f := range findings {

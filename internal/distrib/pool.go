@@ -13,8 +13,8 @@ import (
 	"sync"
 	"time"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/experiments"
-	"bopsim/internal/sim"
 	"bopsim/internal/trace"
 )
 
@@ -373,10 +373,10 @@ func (p *Pool) WorkerStates() []WorkerState {
 // per-job exclusion set, which the fleet size bounds — so a trace held by
 // the coordinator or any worker is found no matter how many workers
 // lack it.
-func (p *Pool) Run(slot int, o sim.Options) (sim.Result, error) {
+func (p *Pool) Run(slot int, o engine.Options) (engine.Result, error) {
 	job, err := p.makeJob(o)
 	if err != nil {
-		return sim.Result{}, err
+		return engine.Result{}, err
 	}
 	return p.runJob(slot, job)
 }
@@ -386,10 +386,10 @@ func (p *Pool) Run(slot int, o sim.Options) (sim.Result, error) {
 // model as traces) and each worker resolves it against its own indexed
 // directories, falling back to running the warmup itself when it has no
 // copy. Either way the result bytes are those of Run.
-func (p *Pool) RunFrom(slot int, o sim.Options, checkpointPath, checkpointSHA string) (sim.Result, error) {
+func (p *Pool) RunFrom(slot int, o engine.Options, checkpointPath, checkpointSHA string) (engine.Result, error) {
 	job, err := p.makeJob(o)
 	if err != nil {
-		return sim.Result{}, err
+		return engine.Result{}, err
 	}
 	job.CheckpointSHA = checkpointSHA
 	if checkpointPath != "" && checkpointSHA != "" {
@@ -401,7 +401,7 @@ func (p *Pool) RunFrom(slot int, o sim.Options, checkpointPath, checkpointSHA st
 	return p.runJob(slot, job)
 }
 
-func (p *Pool) runJob(slot int, job Job) (sim.Result, error) {
+func (p *Pool) runJob(slot int, job Job) (engine.Result, error) {
 	lost := 0
 	noTrace := make(map[*worker]bool)
 	seeded := make(map[*worker]bool)
@@ -412,14 +412,14 @@ func (p *Pool) runJob(slot int, job Job) (sim.Result, error) {
 			if lastErr == nil {
 				lastErr = errors.New("all workers lost")
 			}
-			return sim.Result{}, fmt.Errorf("distrib: no usable worker for job: %w", lastErr)
+			return engine.Result{}, fmt.Errorf("distrib: no usable worker for job: %w", lastErr)
 		}
 		res, verdict, eb, err := p.post(w, job)
 		switch verdict {
 		case verdictOK:
 			return res, nil
 		case verdictPermanent:
-			return sim.Result{}, err
+			return engine.Result{}, err
 		case verdictNoTrace:
 			lastErr = err
 			// Before writing the worker off for this job, try to seed it
@@ -435,7 +435,7 @@ func (p *Pool) runJob(slot int, job Job) (sim.Result, error) {
 			p.markDead(w)
 			lastErr = err
 			if lost++; lost >= p.retry.attempts() {
-				return sim.Result{}, fmt.Errorf("distrib: job failed after losing %d workers: %w", lost, lastErr)
+				return engine.Result{}, fmt.Errorf("distrib: job failed after losing %d workers: %w", lost, lastErr)
 			}
 			time.Sleep(p.retry.backoff())
 		}
@@ -448,7 +448,7 @@ func (p *Pool) runJob(slot int, job Job) (sim.Result, error) {
 // the same wire form, so the worker's recomputation must agree. The
 // path↔hash pairs the rewrite discovers are remembered for artifact
 // seeding.
-func (p *Pool) makeJob(o sim.Options) (Job, error) {
+func (p *Pool) makeJob(o engine.Options) (Job, error) {
 	n := o.Normalized()
 	for i, w := range n.Workloads {
 		wire, err := trace.WireSpec(w)
@@ -610,24 +610,24 @@ const (
 // killed worker surfaces promptly as a connection error anyway. The
 // ErrorBody is returned alongside the verdict so callers can read
 // structured fields (the 412 response's missing-artifact SHA).
-func (p *Pool) post(w *worker, job Job) (sim.Result, verdict, ErrorBody, error) {
+func (p *Pool) post(w *worker, job Job) (engine.Result, verdict, ErrorBody, error) {
 	b, err := json.Marshal(job)
 	if err != nil {
-		return sim.Result{}, verdictPermanent, ErrorBody{}, fmt.Errorf("distrib: encoding job: %v", err)
+		return engine.Result{}, verdictPermanent, ErrorBody{}, fmt.Errorf("distrib: encoding job: %v", err)
 	}
 	resp, err := p.client.Post(w.base+"/v1/run", "application/json", bytes.NewReader(b))
 	if err != nil {
-		return sim.Result{}, verdictWorkerLost, ErrorBody{}, fmt.Errorf("worker %s: %v", w.addr, err)
+		return engine.Result{}, verdictWorkerLost, ErrorBody{}, fmt.Errorf("worker %s: %v", w.addr, err)
 	}
 	defer drainAndClose(resp)
 	if resp.StatusCode == http.StatusOK {
 		var entry experiments.CacheEntry
 		if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
 			// A truncated 200 means the worker died mid-response.
-			return sim.Result{}, verdictWorkerLost, ErrorBody{}, fmt.Errorf("worker %s: truncated response: %v", w.addr, err)
+			return engine.Result{}, verdictWorkerLost, ErrorBody{}, fmt.Errorf("worker %s: truncated response: %v", w.addr, err)
 		}
 		if entry.Version != experiments.SchemaVersion() {
-			return sim.Result{}, verdictPermanent, ErrorBody{},
+			return engine.Result{}, verdictPermanent, ErrorBody{},
 				fmt.Errorf("worker %s returned cache schema v%d, want v%d", w.addr, entry.Version, experiments.SchemaVersion())
 		}
 		// End-to-end integrity: the returned options must describe the job
@@ -635,7 +635,7 @@ func (p *Pool) post(w *worker, job Job) (sim.Result, verdict, ErrorBody, error) 
 		// resolved local path never echoed), which hashes identically to
 		// the coordinator's key, so trace jobs are checked like any other.
 		if got := experiments.OptionsHash(entry.Options); got != job.Key {
-			return sim.Result{}, verdictPermanent, ErrorBody{},
+			return engine.Result{}, verdictPermanent, ErrorBody{},
 				fmt.Errorf("worker %s returned result for key %.12s, job was %.12s", w.addr, got, job.Key)
 		}
 		return entry.Result, verdictOK, ErrorBody{}, nil
@@ -649,10 +649,10 @@ func (p *Pool) post(w *worker, job Job) (sim.Result, verdict, ErrorBody, error) 
 	err = fmt.Errorf("worker %s: %s (%s)", w.addr, errDetail, eb.Code)
 	switch {
 	case resp.StatusCode == http.StatusPreconditionFailed:
-		return sim.Result{}, verdictNoTrace, eb, err
+		return engine.Result{}, verdictNoTrace, eb, err
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
-		return sim.Result{}, verdictPermanent, eb, err
+		return engine.Result{}, verdictPermanent, eb, err
 	default:
-		return sim.Result{}, verdictWorkerLost, eb, err
+		return engine.Result{}, verdictWorkerLost, eb, err
 	}
 }

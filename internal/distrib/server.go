@@ -20,13 +20,12 @@ import (
 
 	"bopsim/internal/engine"
 	"bopsim/internal/experiments"
-	"bopsim/internal/sim"
 	"bopsim/internal/trace"
 )
 
 // Server is the worker side of the protocol: cmd/boworkerd mounts its
 // Handler and the coordinator's Pool talks to it. It executes jobs with
-// the same engine the coordinator would use locally (internal/sim links
+// the same engine the coordinator would use locally (internal/engine links
 // prefetch/all), bounded to Capacity concurrent simulations; excess
 // requests queue rather than fail, so a coordinator rebalancing a dead
 // worker's jobs onto this one degrades throughput, not correctness.
@@ -261,7 +260,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // measured region from the snapshot; any failure on that path falls back
 // to the full run, which the engine's determinism guarantee makes
 // byte-identical.
-func runJob(ctx context.Context, o sim.Options, ckptPath string) (sim.Result, error) {
+func runJob(ctx context.Context, o engine.Options, ckptPath string) (engine.Result, error) {
 	if ckptPath != "" {
 		if data, err := os.ReadFile(ckptPath); err == nil {
 			if eng, err := engine.Restore(data, o); err == nil {
@@ -271,7 +270,7 @@ func runJob(ctx context.Context, o sim.Options, ckptPath string) (sim.Result, er
 	}
 	eng, err := engine.New(o)
 	if err != nil {
-		return sim.Result{}, err
+		return engine.Result{}, err
 	}
 	return eng.Run(ctx)
 }

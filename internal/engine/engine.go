@@ -1,11 +1,11 @@
 // Package engine is the simulation engine proper: it owns the run options,
 // the assembled machine (cores executing workload generators against the
 // shared uncore) and the cycle loop, exposed as a constructed, steppable
-// Simulation object rather than a single monolithic run function. Callers
-// that just want the final measurements use internal/sim's thin wrappers;
-// callers that need incremental control — schedulers running thousands of
-// simulations on a worker pool, tools sampling mid-run state, anything that
-// must honour cancellation — construct a Simulation and drive it.
+// Simulation object. Callers that just want the final measurements call
+// Run; callers that need incremental control — schedulers running
+// thousands of simulations on a worker pool, tools sampling mid-run state,
+// anything that must honour cancellation — construct a Simulation and
+// drive it.
 //
 // Prefetchers are configured through prefetch.Spec and the prefetcher
 // registry: the engine never names a concrete prefetcher, so the prefetcher
@@ -15,7 +15,7 @@
 // The layering (see DESIGN.md) is:
 //
 //	engine.Simulation   one run: New -> Step/Run(ctx) -> Snapshot
-//	sim.Run             compatibility wrapper, context.Background()
+//	engine.Run          one-shot New + Run(context.Background())
 //	experiments.Runner  scheduler: dedup, worker pool, disk cache
 package engine
 
@@ -554,6 +554,17 @@ func (s *Simulation) RunWarmup(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// Run builds one simulation from o and runs it to completion: the one-shot
+// form for callers that want only the final measurements. Construct a
+// Simulation with New to step, snapshot or cancel a run.
+func Run(o Options) (Result, error) {
+	s, err := New(o)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Run(context.Background())
 }
 
 // runQuantum is how many cycles Run executes between context checks: small

@@ -9,7 +9,6 @@ import (
 	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/sim"
 	"bopsim/internal/trace"
 )
 
@@ -20,14 +19,14 @@ func quick(workload string) engine.Options {
 }
 
 // TestStepMatchesRun drives a simulation in uneven Step chunks and checks
-// the final snapshot is identical to the one-shot sim.Run wrapper — the
+// the final snapshot is identical to the one-shot engine.Run — the
 // stepping API must not change the simulated machine.
 func TestStepMatchesRun(t *testing.T) {
 	o := quick("433.milc")
 	o.Page = mem.Page4M
 	o.L2PF = prefetch.MustSpec("bo")
 
-	want, err := sim.Run(o)
+	want, err := engine.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +48,11 @@ func TestStepMatchesRun(t *testing.T) {
 	}
 	got := s.Snapshot()
 	if got.Cycles != want.Cycles || got.IPC != want.IPC {
-		t.Errorf("stepped run: %d cycles IPC %.6f, sim.Run: %d cycles IPC %.6f",
+		t.Errorf("stepped run: %d cycles IPC %.6f, engine.Run: %d cycles IPC %.6f",
 			got.Cycles, got.IPC, want.Cycles, want.IPC)
 	}
 	if got.FinalBOOffset != want.FinalBOOffset {
-		t.Errorf("stepped BO offset %d, sim.Run %d", got.FinalBOOffset, want.FinalBOOffset)
+		t.Errorf("stepped BO offset %d, engine.Run %d", got.FinalBOOffset, want.FinalBOOffset)
 	}
 	if got.Hier != want.Hier {
 		t.Errorf("hierarchy stats diverge:\nstepped %+v\nrun     %+v", got.Hier, want.Hier)
@@ -156,7 +155,7 @@ func TestNormalized(t *testing.T) {
 	}
 }
 
-// TestInvalidOptionsRejected mirrors the historical sim.Run validation and
+// TestInvalidOptionsRejected mirrors the historical engine.Run validation and
 // extends it to registry errors.
 func TestInvalidOptionsRejected(t *testing.T) {
 	o := quick("416.gamess")

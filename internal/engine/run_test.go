@@ -1,23 +1,21 @@
-package sim
+package engine_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	"bopsim/internal/trace"
 )
 
-// quick returns fast options for integration tests.
-func quick(workload string) Options {
-	o := DefaultOptions(workload)
-	o.Instructions = 60_000
-	return o
-}
+// End-to-end runs through the one-shot engine.Run: each test builds a full
+// machine from Options and checks one behaviour of the paper's model.
 
 func TestRunBasic(t *testing.T) {
-	r, err := Run(quick("416.gamess"))
+	r, err := engine.Run(quick("416.gamess"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +28,11 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(quick("403.gcc"))
+	a, err := engine.Run(quick("403.gcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(quick("403.gcc"))
+	b, err := engine.Run(quick("403.gcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,24 +51,24 @@ func TestAllPrefetchersRun(t *testing.T) {
 	for _, name := range names {
 		o := quick("437.leslie3d")
 		o.L2PF = prefetch.Spec{Name: name}
-		if _, err := Run(o); err != nil {
+		if _, err := engine.Run(o); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
 	// A parameterized spec spelled as a string works the same way.
 	o := quick("437.leslie3d")
 	o.L2PF = prefetch.MustSpec("offset:d=4")
-	if _, err := Run(o); err != nil {
+	if _, err := engine.Run(o); err != nil {
 		t.Errorf("offset:d=4: %v", err)
 	}
 }
 
 func TestBOResultFieldsPopulated(t *testing.T) {
 	o := quick("462.libquantum")
-	o.L2PF = PFBO
+	o.L2PF = prefetch.Spec{Name: "bo"}
 	o.Page = mem.Page4M
 	o.Instructions = 150_000
-	r, err := Run(o)
+	r, err := engine.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +85,13 @@ func TestMultiCoreInterferenceSlowsCore0(t *testing.T) {
 	// 0's IPC (Figure 2's effect).
 	solo := quick("450.soplex")
 	solo.Page = mem.Page4M
-	r1, err := Run(solo)
+	r1, err := engine.Run(solo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := solo
 	shared.Cores = 4
-	r4, err := Run(shared)
+	r4, err := engine.Run(shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +102,13 @@ func TestMultiCoreInterferenceSlowsCore0(t *testing.T) {
 
 func TestLargePagesHelpTLBHeavyWorkload(t *testing.T) {
 	small := quick("429.mcf")
-	r4k, err := Run(small)
+	r4k, err := engine.Run(small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := small
 	big.Page = mem.Page4M
-	r4m, err := Run(big)
+	r4m, err := engine.Run(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +125,13 @@ func TestBOBeatsNextLineOnStream(t *testing.T) {
 	base := quick("462.libquantum")
 	base.Page = mem.Page4M
 	base.Instructions = 200_000
-	rNL, err := Run(base)
+	rNL, err := engine.Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bo := base
-	bo.L2PF = PFBO
-	rBO, err := Run(bo)
+	bo.L2PF = prefetch.Spec{Name: "bo"}
+	rBO, err := engine.Run(bo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,24 +143,18 @@ func TestBOBeatsNextLineOnStream(t *testing.T) {
 func TestInvalidOptions(t *testing.T) {
 	o := quick("416.gamess")
 	o.Cores = 5
-	if _, err := Run(o); err == nil {
+	if _, err := engine.Run(o); err == nil {
 		t.Error("5 cores accepted")
 	}
 	o = quick("does-not-exist")
-	if _, err := Run(o); err == nil {
+	if _, err := engine.Run(o); err == nil {
 		t.Error("unknown workload accepted")
-	}
-}
-
-func TestConfigLabel(t *testing.T) {
-	if got := ConfigLabel(2, mem.Page4M); got != "2-core/4MB" {
-		t.Errorf("ConfigLabel = %q", got)
 	}
 }
 
 func TestDRAMTrafficReported(t *testing.T) {
 	o := quick("470.lbm")
-	r, err := Run(o)
+	r, err := engine.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +180,13 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 	}
 	direct := quick("456.hmmer")
 	direct.Instructions = n
-	rDirect, err := Run(direct)
+	rDirect, err := engine.Run(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay := direct
 	replay.Workloads = []trace.Spec{trace.FileSpec(path)}
-	rReplay, err := Run(replay)
+	rReplay, err := engine.Run(replay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +202,8 @@ func TestFig8ShapeOffsetPeaks(t *testing.T) {
 		o := quick("433.milc")
 		o.Page = mem.Page4M
 		o.Instructions = 150_000
-		o.L2PF = PFOffsetD(d)
-		r, err := Run(o)
+		o.L2PF = prefetch.Spec{Name: "offset"}.With("d", fmt.Sprint(d))
+		r, err := engine.Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}

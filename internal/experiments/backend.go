@@ -7,13 +7,12 @@ import (
 	"strconv"
 
 	"bopsim/internal/engine"
-	"bopsim/internal/sim"
 )
 
 // ExecBackend is where the scheduler's jobs actually execute. RunJobs owns
 // the dispatch loop — dedup, caching, retry accounting, progress — and
 // drives one feeder goroutine per backend slot; the backend only has to
-// turn one sim.Options into one sim.Result.
+// turn one engine.Options into one engine.Result.
 //
 // The default backend is the in-process pool below. internal/distrib
 // provides a remote one (an HTTP fan-out over a fleet of boworkerd
@@ -33,7 +32,7 @@ type ExecBackend interface {
 	// "10.0.0.7:9123#1"). Labels are informational only.
 	SlotLabel(slot int) string
 	// Run executes one simulation to completion on the given slot.
-	Run(slot int, o sim.Options) (sim.Result, error)
+	Run(slot int, o engine.Options) (engine.Result, error)
 }
 
 // CheckpointBackend is optionally implemented by backends that can fork a
@@ -44,11 +43,11 @@ type ExecBackend interface {
 // snapshot cannot be used — a checkpoint is an optimization, never a
 // correctness dependency — so RunFrom must return exactly what Run would.
 type CheckpointBackend interface {
-	RunFrom(slot int, o sim.Options, checkpointPath, checkpointSHA string) (sim.Result, error)
+	RunFrom(slot int, o engine.Options, checkpointPath, checkpointSHA string) (engine.Result, error)
 }
 
-// localBackend is the historical in-process worker pool: every slot is a
-// goroutine in this process calling sim.Run directly.
+// localBackend is the in-process worker pool: every slot is a goroutine in
+// this process calling engine.Run.
 type localBackend struct{ workers int }
 
 var _ CheckpointBackend = localBackend{}
@@ -62,20 +61,20 @@ func (b localBackend) Slots() int {
 
 func (b localBackend) SlotLabel(slot int) string { return "local/" + strconv.Itoa(slot) }
 
-func (b localBackend) Run(_ int, o sim.Options) (sim.Result, error) { return sim.Run(o) }
+func (b localBackend) Run(_ int, o engine.Options) (engine.Result, error) { return engine.Run(o) }
 
 // RunFrom implements CheckpointBackend: restore the snapshot and run the
 // measured region. Any problem with the snapshot — unreadable, corrupt,
 // version-skewed, signed for a different warmup — falls back to the full
 // run, which the engine's determinism guarantee makes byte-identical.
-func (b localBackend) RunFrom(_ int, o sim.Options, checkpointPath, _ string) (sim.Result, error) {
+func (b localBackend) RunFrom(_ int, o engine.Options, checkpointPath, _ string) (engine.Result, error) {
 	data, err := os.ReadFile(checkpointPath)
 	if err != nil {
-		return sim.Run(o)
+		return engine.Run(o)
 	}
 	s, err := engine.Restore(data, o)
 	if err != nil {
-		return sim.Run(o)
+		return engine.Run(o)
 	}
 	return s.Run(context.Background())
 }

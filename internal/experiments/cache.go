@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"bopsim/internal/sim"
+	"bopsim/internal/engine"
 	"bopsim/internal/trace"
 )
 
@@ -22,8 +22,8 @@ import (
 //
 // v3: Options moved from the Workload/TracePath pair to per-core workload
 // specs (Options.Workloads); file replays are keyed inside the spec by
-// content hash (trace.HashSpec). MigrateCache rewrites v1 and v2 entries
-// in place.
+// content hash (trace.HashSpec). Entries of older versions are never read;
+// cmd/experiments refuses a cache directory that still holds one.
 const resultCacheVersion = 3
 
 // OptionsHash returns the canonical cache key of one simulation run: a
@@ -39,10 +39,10 @@ const resultCacheVersion = 3
 // (trace.HashSpec), so editing a trace invalidates its cached results, and
 // moving or copying one preserves them. An unreadable trace falls back to
 // path keying (the simulation will fail with the real error anyway).
-func OptionsHash(o sim.Options) string {
+func OptionsHash(o engine.Options) string {
 	keyed := struct {
 		Version int
-		Options sim.Options
+		Options engine.Options
 	}{Version: resultCacheVersion, Options: o.Normalized()}
 	// Normalized always reallocates the spec slice, so rewriting entries
 	// here never aliases the caller's options.
@@ -59,19 +59,19 @@ func OptionsHash(o sim.Options) string {
 
 // optionsKey is the Runner's cache key. It is the full-options hash, so
 // runs differing in any outcome-affecting field never alias.
-func optionsKey(o sim.Options) string { return OptionsHash(o) }
+func optionsKey(o engine.Options) string { return OptionsHash(o) }
 
 // CacheEntry is the on-disk record format: one JSON file per completed
 // simulation, named <OptionsHash>.json, self-describing via the stored
-// options so a human (or a migration tool) can see what produced it. It
+// options so a human (or bosim -verify) can see what produced it. It
 // doubles as the wire format a distrib worker returns a finished job in —
 // the coordinator writes received entries straight into this cache.
 //
 //bovet:schemalock
 type CacheEntry struct {
-	Version int         `json:"version"`
-	Options sim.Options `json:"options"`
-	Result  sim.Result  `json:"result"`
+	Version int            `json:"version"`
+	Options engine.Options `json:"options"`
+	Result  engine.Result  `json:"result"`
 }
 
 // SchemaVersion reports the current result-cache schema version. Remote
@@ -95,14 +95,14 @@ func (c diskCache) path(key string) string {
 }
 
 // load returns the stored result for key, if present and schema-compatible.
-func (c diskCache) load(key string) (sim.Result, bool) {
+func (c diskCache) load(key string) (engine.Result, bool) {
 	b, err := os.ReadFile(c.path(key))
 	if err != nil {
-		return sim.Result{}, false
+		return engine.Result{}, false
 	}
 	var e CacheEntry
 	if err := json.Unmarshal(b, &e); err != nil || e.Version != resultCacheVersion {
-		return sim.Result{}, false
+		return engine.Result{}, false
 	}
 	return e.Result, true
 }
@@ -110,7 +110,7 @@ func (c diskCache) load(key string) (sim.Result, bool) {
 // store writes the result for key atomically (temp file + rename), so a
 // concurrent reader never observes a partial entry and an interrupted run
 // never corrupts the cache.
-func (c diskCache) store(key string, o sim.Options, res sim.Result) error {
+func (c diskCache) store(key string, o engine.Options, res engine.Result) error {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
 	}

@@ -1,233 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"bopsim/internal/core"
-	"bopsim/internal/mem"
-	"bopsim/internal/sim"
-	"bopsim/internal/trace"
 )
-
-// writeV1Entry stores a version-1 (enum-era) cache entry under dir with a
-// made-up key, returning the stored result.
-func writeV1Entry(t *testing.T, dir, key string, opts map[string]any, ipc float64) sim.Result {
-	t.Helper()
-	res := sim.Result{Workload: opts["Workload"].(string), IPC: ipc, Cycles: 1000, Instructions: 500}
-	entry := map[string]any{"version": 1, "options": opts, "result": res}
-	b, err := json.MarshalIndent(entry, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// v1Options renders the enum-era options JSON for one run.
-func v1Options(workload, l2pf string, extra map[string]any) map[string]any {
-	o := map[string]any{
-		"Workload": workload, "TracePath": "", "Cores": 1,
-		"Page": int64(mem.Page4K), "L2PF": l2pf, "FixedOffset": 0,
-		"L3Policy": "5P", "StridePF": true, "LatePromote": true,
-		"Instructions": 40_000, "Seed": 1, "MaxCycles": 0,
-	}
-	for k, v := range extra {
-		o[k] = v
-	}
-	return o
-}
-
-func TestMigrateCacheRekeysV1Entries(t *testing.T) {
-	dir := t.TempDir()
-	wantBO := writeV1Entry(t, dir, "000bo", v1Options("433.milc", "bo", nil), 1.5)
-	p := core.DefaultParams()
-	p.BadScore = 5
-	wantSweep := writeV1Entry(t, dir, "000bosweep", v1Options("433.milc", "bo", map[string]any{"BOParams": p}), 1.25)
-	wantOff := writeV1Entry(t, dir, "000off", v1Options("470.lbm", "offset", map[string]any{"FixedOffset": 4, "StridePF": false}), 0.75)
-
-	migrated, dropped, err := MigrateCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated != 3 || dropped != 0 {
-		t.Fatalf("migrated %d, dropped %d; want 3, 0", migrated, dropped)
-	}
-
-	// The rewritten entries answer under the *new* spec-based keys.
-	check := func(mutate func(*sim.Options), want sim.Result) {
-		t.Helper()
-		o := sim.DefaultOptions("433.milc")
-		o.Instructions = 40_000
-		mutate(&o)
-		res, ok := diskCache{dir}.load(OptionsHash(o))
-		if !ok {
-			t.Errorf("no migrated entry for %s", describeOptions(o))
-			return
-		}
-		if res.IPC != want.IPC {
-			t.Errorf("migrated IPC = %v, want %v", res.IPC, want.IPC)
-		}
-	}
-	check(func(o *sim.Options) { o.L2PF = sim.PFBO }, wantBO)
-	check(func(o *sim.Options) { o.L2PF = sim.PFBO.With("badscore", "5") }, wantSweep)
-	check(func(o *sim.Options) {
-		o.Workloads = []trace.Spec{{Name: "470.lbm"}}
-		o.L2PF = sim.PFOffsetD(4)
-		o.L1PF = sim.PFNone // v1 StridePF=false
-	}, wantOff)
-
-	// Old-key files are gone; nothing is left at version 1.
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(files) != 3 {
-		t.Errorf("%d files after migration, want 3", len(files))
-	}
-	again, _, err := MigrateCache(dir)
-	if err != nil || again != 0 {
-		t.Errorf("second migration touched %d entries (err %v), want 0", again, err)
-	}
-}
-
-// writeV2Entry stores a version-2 (Workload/TracePath-era) cache entry
-// under dir with a made-up key, returning the stored result.
-func writeV2Entry(t *testing.T, dir, key string, opts map[string]any, ipc float64) sim.Result {
-	t.Helper()
-	res := sim.Result{Workload: opts["Workload"].(string), IPC: ipc, Cycles: 2000, Instructions: 900}
-	entry := map[string]any{"version": 2, "options": opts, "result": res}
-	b, err := json.MarshalIndent(entry, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// v2Options renders the spec-prefetcher/string-workload options JSON of the
-// v2 schema for one run.
-func v2Options(workload, tracePath string, extra map[string]any) map[string]any {
-	o := map[string]any{
-		"Workload": workload, "TracePath": tracePath, "Cores": 1,
-		"Page":     int64(mem.Page4K),
-		"L2PF":     map[string]any{"name": "nextline"},
-		"L1PF":     map[string]any{"name": "stride"},
-		"L3Policy": "5P", "LatePromote": true,
-		"Instructions": 40_000, "Seed": 1, "MaxCycles": 0,
-	}
-	for k, v := range extra {
-		o[k] = v
-	}
-	return o
-}
-
-func TestMigrateCacheRekeysV2Entries(t *testing.T) {
-	dir := t.TempDir()
-	wantPlain := writeV2Entry(t, dir, "000plain", v2Options("433.milc", "", nil), 1.5)
-	wantBO := writeV2Entry(t, dir, "000bo", v2Options("470.lbm", "",
-		map[string]any{"L2PF": map[string]any{"name": "bo", "params": map[string]string{"badscore": "5"}}}), 1.25)
-	wantWarm := writeV2Entry(t, dir, "000warm", v2Options("456.hmmer", "",
-		map[string]any{"Warmup": 10_000}), 0.9)
-
-	// A v2 trace-replay entry rekeys by content hash, exactly like the new
-	// file: spec would.
-	tracePath := filepath.Join(t.TempDir(), "w.trace")
-	if err := trace.WriteTraceFile(tracePath, trace.MustWorkload("456.hmmer", 1), 1500); err != nil {
-		t.Fatal(err)
-	}
-	wantTrace := writeV2Entry(t, dir, "000trace", v2Options("456.hmmer", tracePath, nil), 0.75)
-
-	migrated, dropped, err := MigrateCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated != 4 || dropped != 0 {
-		t.Fatalf("migrated %d, dropped %d; want 4, 0", migrated, dropped)
-	}
-
-	check := func(mutate func(*sim.Options), want sim.Result) {
-		t.Helper()
-		o := sim.DefaultOptions("433.milc")
-		o.Instructions = 40_000
-		mutate(&o)
-		res, ok := diskCache{dir}.load(OptionsHash(o))
-		if !ok {
-			t.Errorf("no migrated entry for %s", describeOptions(o))
-			return
-		}
-		if res.IPC != want.IPC {
-			t.Errorf("migrated IPC = %v, want %v", res.IPC, want.IPC)
-		}
-	}
-	check(func(o *sim.Options) {}, wantPlain)
-	check(func(o *sim.Options) {
-		o.Workloads = []trace.Spec{{Name: "470.lbm"}}
-		o.L2PF = sim.PFBO.With("badscore", "5")
-	}, wantBO)
-	check(func(o *sim.Options) {
-		o.Workloads = []trace.Spec{{Name: "456.hmmer"}}
-		o.Warmup = 10_000
-	}, wantWarm)
-	check(func(o *sim.Options) {
-		o.Workloads = []trace.Spec{trace.FileSpec(tracePath)}
-	}, wantTrace)
-
-	// The migrated trace entry must stay locally executable (bosim -verify
-	// re-runs stored options on this machine), so the stored spec keeps
-	// its path spelling; only the *key* uses the content hash.
-	oTrace := sim.DefaultOptions("456.hmmer")
-	oTrace.Instructions = 40_000
-	oTrace.Workloads = []trace.Spec{trace.FileSpec(tracePath)}
-	b, err := os.ReadFile(filepath.Join(dir, OptionsHash(oTrace)+".json"))
-	if err != nil {
-		t.Fatalf("migrated trace entry unreadable: %v", err)
-	}
-	var stored CacheEntry
-	if err := json.Unmarshal(b, &stored); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := stored.Options.Workloads[0].Get("path"); got != tracePath {
-		t.Errorf("migrated trace entry stores workload %s, want path spelling (locally re-executable)",
-			stored.Options.Workloads[0])
-	}
-
-	if again, _, err := MigrateCache(dir); err != nil || again != 0 {
-		t.Errorf("second migration touched %d entries (err %v), want 0", again, err)
-	}
-}
-
-func TestMigrateCacheDropsV2EntryWithUnreadableTrace(t *testing.T) {
-	dir := t.TempDir()
-	writeV2Entry(t, dir, "000gone", v2Options("456.hmmer", "/no/such/trace.bin", nil), 1.0)
-	migrated, dropped, err := MigrateCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated != 0 || dropped != 1 {
-		t.Errorf("migrated %d, dropped %d; want 0, 1 (cannot rekey without the trace's content)", migrated, dropped)
-	}
-}
-
-func TestMigrateCacheDropsUnmappableEntries(t *testing.T) {
-	dir := t.TempDir()
-	writeV1Entry(t, dir, "000weird", v1Options("433.milc", "quantum-oracle", nil), 2.0)
-	migrated, dropped, err := MigrateCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated != 0 || dropped != 1 {
-		t.Errorf("migrated %d, dropped %d; want 0, 1", migrated, dropped)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(files) != 0 {
-		t.Errorf("unmappable entry left on disk: %v", files)
-	}
-}
 
 func TestEvictCacheRemovesOldestPastBudget(t *testing.T) {
 	dir := t.TempDir()

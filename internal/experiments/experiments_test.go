@@ -36,6 +36,14 @@ func TestAllConfigsShape(t *testing.T) {
 	}
 }
 
+// TestConfigLabel pins the paper's configuration naming, which every
+// figure's column headers and bosim's report use.
+func TestConfigLabel(t *testing.T) {
+	if got := (CoreConfig{Cores: 2, Page: mem.Page4M}).Label(); got != "2-core/4MB" {
+		t.Errorf("Label = %q", got)
+	}
+}
+
 func TestTables1And2Render(t *testing.T) {
 	if !strings.Contains(Table1(), "DDR3") || !strings.Contains(Table1(), "512KB") {
 		t.Error("Table 1 missing expected content")

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bopsim/internal/sim"
+	"bopsim/internal/engine"
 	"bopsim/internal/stats"
 	"bopsim/internal/trace"
 )
@@ -21,7 +21,7 @@ import (
 // worker count or interleaving.
 
 // runFunc executes (or replays from cache) one simulation.
-type runFunc func(sim.Options) sim.Result
+type runFunc func(engine.Options) engine.Result
 
 // defaultMaxErrors bounds how many job failures RunJobs collects before it
 // stops dispatching: enough that a sweep with a handful of bad specs
@@ -33,15 +33,15 @@ const defaultMaxErrors = 16
 // planning pass: harmless non-zero placeholders, since speedup and
 // geometric-mean math reject non-positive values. The table built from
 // them is discarded.
-var enumerationResult = sim.Result{IPC: 1, DRAMAccessesPerKI: 1}
+var enumerationResult = engine.Result{IPC: 1, DRAMAccessesPerKI: 1}
 
 // materialize invokes build twice: first with a recording stub to
 // enumerate every simulation the figure needs, then — after RunJobs has
 // executed the deduplicated job set on the backend — against the warm
 // cache to assemble the real table.
 func (r *Runner) materialize(build func(run runFunc) *stats.Table) *stats.Table {
-	var jobs []sim.Options
-	build(func(o sim.Options) sim.Result {
+	var jobs []engine.Options
+	build(func(o engine.Options) engine.Result {
 		jobs = append(jobs, o)
 		return enumerationResult
 	})
@@ -61,7 +61,7 @@ func (r *Runner) materialize(build func(run runFunc) *stats.Table) *stats.Table 
 // belongs to, so a partially-failed sweep reports all its bad jobs in one
 // pass. Dispatch stops early only once MaxErrors failures (default 16)
 // have accumulated; in-flight jobs always complete.
-func (r *Runner) RunJobs(opts []sim.Options) error {
+func (r *Runner) RunJobs(opts []engine.Options) error {
 	jobs := r.pendingJobs(opts)
 	if len(jobs) == 0 {
 		return nil
@@ -97,7 +97,7 @@ func (r *Runner) RunJobs(opts []sim.Options) error {
 		defer errMu.Unlock()
 		return len(errs) >= maxErrors
 	}
-	work := make(chan sim.Options)
+	work := make(chan engine.Options)
 	var wg sync.WaitGroup
 	for i := 0; i < slots; i++ {
 		slot := i
@@ -106,7 +106,7 @@ func (r *Runner) RunJobs(opts []sim.Options) error {
 			defer wg.Done()
 			for o := range work {
 				r.setAssignment(slot, describeOptions(o))
-				_, err := r.runWith(o, func(o sim.Options) (sim.Result, error) {
+				_, err := r.runWith(o, func(o engine.Options) (engine.Result, error) {
 					return r.execOnBackend(backend, slot, o, ckpts)
 				})
 				r.setAssignment(slot, "")
@@ -138,7 +138,7 @@ func (r *Runner) RunJobs(opts []sim.Options) error {
 
 // execOnBackend runs one job on the backend, forking from its warmup
 // group's checkpoint when one can be resolved and the backend supports it.
-func (r *Runner) execOnBackend(backend ExecBackend, slot int, o sim.Options, ckpts *ckptResolver) (sim.Result, error) {
+func (r *Runner) execOnBackend(backend ExecBackend, slot int, o engine.Options, ckpts *ckptResolver) (engine.Result, error) {
 	if ckpts != nil {
 		if cb, ok := backend.(CheckpointBackend); ok {
 			if ref, ok := ckpts.resolve(o); ok {
@@ -156,9 +156,9 @@ func (r *Runner) execOnBackend(backend ExecBackend, slot int, o sim.Options, ckp
 // prepareCheckpoints never pays a warmup leg for a group with no real work
 // left. Disk hits are promoted into the in-memory cache, exactly as
 // runWith would have done.
-func (r *Runner) pendingJobs(opts []sim.Options) []sim.Options {
+func (r *Runner) pendingJobs(opts []engine.Options) []engine.Options {
 	type pending struct {
-		o   sim.Options
+		o   engine.Options
 		key string
 	}
 	seen := make(map[string]bool, len(opts))
@@ -177,7 +177,7 @@ func (r *Runner) pendingJobs(opts []sim.Options) []sim.Options {
 	}
 	r.mu.Unlock()
 	if r.CacheDir == "" || len(maybe) == 0 {
-		jobs := make([]sim.Options, len(maybe))
+		jobs := make([]engine.Options, len(maybe))
 		for i, p := range maybe {
 			jobs[i] = p.o
 		}
@@ -187,7 +187,7 @@ func (r *Runner) pendingJobs(opts []sim.Options) []sim.Options {
 	// sweep would otherwise spend its startup in one goroutine's serial
 	// read+decode loop — then apply the hits in input order so log lines
 	// and the resulting job list stay deterministic.
-	hits := make([]*sim.Result, len(maybe))
+	hits := make([]*engine.Result, len(maybe))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, p := range maybe {
@@ -203,7 +203,7 @@ func (r *Runner) pendingJobs(opts []sim.Options) []sim.Options {
 		}()
 	}
 	wg.Wait()
-	var jobs []sim.Options
+	var jobs []engine.Options
 	for i, p := range maybe {
 		if res := hits[i]; res != nil {
 			r.mu.Lock()
@@ -222,7 +222,7 @@ func (r *Runner) pendingJobs(opts []sim.Options) []sim.Options {
 // results are written through to both, so a result computed by a remote
 // worker lands in the shared disk cache in the same entry format a local
 // run produces. Safe for concurrent use.
-func (r *Runner) runWith(o sim.Options, exec func(sim.Options) (sim.Result, error)) (sim.Result, error) {
+func (r *Runner) runWith(o engine.Options, exec func(engine.Options) (engine.Result, error)) (engine.Result, error) {
 	key := optionsKey(o)
 	r.mu.Lock()
 	res, ok := r.cache[key]
@@ -241,7 +241,7 @@ func (r *Runner) runWith(o sim.Options, exec func(sim.Options) (sim.Result, erro
 	}
 	res, err := exec(o)
 	if err != nil {
-		return sim.Result{}, err
+		return engine.Result{}, err
 	}
 	r.executed.Add(1)
 	r.logf("  ran  %-55s IPC=%.3f\n", describeOptions(o), res.IPC)
@@ -259,13 +259,13 @@ func (r *Runner) runWith(o sim.Options, exec func(sim.Options) (sim.Result, erro
 // runErr executes one simulation in-process unless a cache satisfies it.
 // The figures' assembly pass uses it (via run) after RunJobs has warmed
 // the cache, so it normally never executes anything.
-func (r *Runner) runErr(o sim.Options) (sim.Result, error) {
-	return r.runWith(o, sim.Run)
+func (r *Runner) runErr(o engine.Options) (engine.Result, error) {
+	return r.runWith(o, engine.Run)
 }
 
 // run is runErr with the historical panic-on-error contract the figure
 // builders rely on.
-func (r *Runner) run(o sim.Options) sim.Result {
+func (r *Runner) run(o engine.Options) engine.Result {
 	res, err := r.runErr(o)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
@@ -292,7 +292,7 @@ func (r *Runner) logf(format string, args ...any) {
 // lines (the cache key itself is an opaque hash). Specs are
 // self-describing, so their canonical strings carry every parameter that
 // the old enum-era description had to special-case.
-func describeOptions(o sim.Options) string {
+func describeOptions(o engine.Options) string {
 	o = o.Normalized()
 	// trace.SpecsLabel over the just-normalized specs — not WorkloadsLabel,
 	// which would normalize a second time (registry normalization

@@ -7,9 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/sim"
 	"bopsim/internal/trace"
 )
 
@@ -68,7 +68,7 @@ func TestRunJobsDedup(t *testing.T) {
 	// values instead of explicit defaults.
 	zeroSpelling := o
 	zeroSpelling.L3Policy = ""
-	if err := r.RunJobs([]sim.Options{o, o, zeroSpelling}); err != nil {
+	if err := r.RunJobs([]engine.Options{o, o, zeroSpelling}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Executed(); got != 1 {
@@ -84,7 +84,7 @@ func TestRunJobsAbortsAfterFailure(t *testing.T) {
 	r.Workers = 1
 	r.MaxErrors = 1
 	bad := r.options(trace.MustSpec("no-such-benchmark"), CoreConfig{Cores: 1, Page: mem.Page4K})
-	jobs := []sim.Options{bad}
+	jobs := []engine.Options{bad}
 	for seed := uint64(1); seed <= 20; seed++ {
 		o := r.options(trace.MustSpec("416.gamess"), CoreConfig{Cores: 1, Page: mem.Page4K})
 		o.Seed = seed
@@ -107,7 +107,7 @@ func TestRunJobsAbortsAfterFailure(t *testing.T) {
 func TestRunJobsAggregatesFailures(t *testing.T) {
 	r := tinyRunner()
 	r.Workers = 2
-	jobs := []sim.Options{
+	jobs := []engine.Options{
 		r.options(trace.MustSpec("no-such-benchmark-a"), CoreConfig{Cores: 1, Page: mem.Page4K}),
 		r.options(trace.MustSpec("416.gamess"), CoreConfig{Cores: 1, Page: mem.Page4K}),
 		r.options(trace.MustSpec("no-such-benchmark-b"), CoreConfig{Cores: 1, Page: mem.Page4K}),
@@ -181,23 +181,23 @@ func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 // in the cache key — the historical key omitted Seed, TracePath, SBP
 // parameters and MaxCycles, aliasing distinct runs to one cached result.
 func TestOptionsKeyComplete(t *testing.T) {
-	base := sim.DefaultOptions("433.milc")
-	mutations := map[string]func(*sim.Options){
-		"Seed":         func(o *sim.Options) { o.Seed = 99 },
-		"MaxCycles":    func(o *sim.Options) { o.MaxCycles = 123_456 },
-		"L2PF name":    func(o *sim.Options) { o.L2PF = sim.PFSBP },
-		"L2PF params":  func(o *sim.Options) { o.L2PF = sim.PFSBP.With("period", "128") },
-		"L1PF":         func(o *sim.Options) { o.L1PF = prefetch.Spec{Name: "none"} },
-		"L1PF params":  func(o *sim.Options) { o.L1PF = prefetch.MustSpec("stride:dist=8") },
-		"Instructions": func(o *sim.Options) { o.Instructions = 1 },
-		"Workload":     func(o *sim.Options) { o.Workloads = []trace.Spec{{Name: "470.lbm"}} },
-		"Workload params": func(o *sim.Options) {
+	base := engine.DefaultOptions("433.milc")
+	mutations := map[string]func(*engine.Options){
+		"Seed":         func(o *engine.Options) { o.Seed = 99 },
+		"MaxCycles":    func(o *engine.Options) { o.MaxCycles = 123_456 },
+		"L2PF name":    func(o *engine.Options) { o.L2PF = prefetch.Spec{Name: "sbp"} },
+		"L2PF params":  func(o *engine.Options) { o.L2PF = prefetch.Spec{Name: "sbp"}.With("period", "128") },
+		"L1PF":         func(o *engine.Options) { o.L1PF = prefetch.Spec{Name: "none"} },
+		"L1PF params":  func(o *engine.Options) { o.L1PF = prefetch.MustSpec("stride:dist=8") },
+		"Instructions": func(o *engine.Options) { o.Instructions = 1 },
+		"Workload":     func(o *engine.Options) { o.Workloads = []trace.Spec{{Name: "470.lbm"}} },
+		"Workload params": func(o *engine.Options) {
 			o.Workloads = []trace.Spec{trace.MustSpec("433.milc:footprint=16mb")}
 		},
-		"CPU":      func(o *sim.Options) { o.CPU.ROBSize = 128 },
-		"Offset d": func(o *sim.Options) { o.L2PF = sim.PFOffsetD(3) },
-		"Warmup":   func(o *sim.Options) { o.Warmup = 10_000 },
-		"WarmupPF": func(o *sim.Options) { o.Warmup = 10_000; o.WarmupPF = true },
+		"CPU":      func(o *engine.Options) { o.CPU.ROBSize = 128 },
+		"Offset d": func(o *engine.Options) { o.L2PF = prefetch.Spec{Name: "offset"}.With("d", "3") },
+		"Warmup":   func(o *engine.Options) { o.Warmup = 10_000 },
+		"WarmupPF": func(o *engine.Options) { o.Warmup = 10_000; o.WarmupPF = true },
 	}
 	baseKey := optionsKey(base)
 	for field, mutate := range mutations {
@@ -226,7 +226,7 @@ func TestOptionsKeyComplete(t *testing.T) {
 	bo1 := base
 	bo1.L2PF = prefetch.MustSpec("bo:scoremax=31,badscore=5")
 	bo2 := base
-	bo2.L2PF = sim.PFBO.With("badscore", "5")
+	bo2.L2PF = prefetch.Spec{Name: "bo"}.With("badscore", "5")
 	if optionsKey(bo1) != optionsKey(bo2) {
 		t.Error("equivalent bo specs hash differently")
 	}
@@ -275,7 +275,7 @@ func TestRunJobsSurfacesBadWorkloadSpecs(t *testing.T) {
 	r.Workers = 2
 	r.MaxErrors = 8
 	cc := CoreConfig{Cores: 1, Page: mem.Page4K}
-	jobs := []sim.Options{
+	jobs := []engine.Options{
 		r.options(trace.Spec{Name: "no-such-workload"}, cc),
 		r.options(trace.MustSpec("stream:stride=bogus"), cc),
 		r.options(trace.Spec{Name: "416.gamess"}, cc),
@@ -307,7 +307,7 @@ func TestTraceContentKeysCache(t *testing.T) {
 	if err := trace.WriteTraceFile(pathA, gen, 2000); err != nil {
 		t.Fatal(err)
 	}
-	o := sim.DefaultOptions("456.hmmer")
+	o := engine.DefaultOptions("456.hmmer")
 	o.Workloads = []trace.Spec{trace.FileSpec(pathA)}
 	keyA := optionsKey(o)
 
